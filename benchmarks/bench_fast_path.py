@@ -2,10 +2,12 @@
 
 The sliced AQS execute issues ``n_w_planes x n_x_planes`` BLAS calls plus
 the compensation call per request; the fast path collapses the whole loop
-into two calls on the precomputed ``w_f64`` mirror (Sibia collapses to one).
-Both are bit-exact, so the only difference is wall time.  This bench
-measures that on BERT-base and ResNet im2col shapes for the AQS and Sibia
-kernels, asserting bit-exactness on every shape before timing.
+and the compensation into one GEMM (so does Sibia), run in float32 when the
+plan's certificate ``max_row(sum|W|) * max|x|`` is below 2**24 and in
+float64 otherwise.  Both paths are bit-exact, so the only difference is
+wall time.  This bench measures that on BERT-base and ResNet im2col shapes
+for the AQS and Sibia kernels, asserting bit-exactness on every shape
+before timing, and reports the GEMM dtype each shape's certificate chose.
 
 Emits a table to ``results/fast_path.txt`` and machine-readable numbers to
 ``results/fast_path.json``.
@@ -13,7 +15,8 @@ Emits a table to ``results/fast_path.txt`` and machine-readable numbers to
 Run:        PYTHONPATH=src python benchmarks/bench_fast_path.py
 CI smoke:   PYTHONPATH=src python benchmarks/bench_fast_path.py --smoke
 (the smoke run skips timing and only checks bit-exactness across the full
-scheme/config grid, so it is fast enough for every push)
+scheme/config grid plus one shape whose certificate fails, so the float64
+fallback runs too; it is fast enough for every push)
 """
 
 import argparse
@@ -98,6 +101,26 @@ def check_exactness(m=48, k=96, n=24, seed=0):
             assert fast.ops.mul4 == sliced.ops.mul4, (w_bits, tracked)
 
 
+def check_certificate_fallback():
+    """A max-magnitude layer whose bound reaches 2**24 takes float64 and
+    stays exact; returns the two dtypes chosen (AQS, Sibia)."""
+    k = 1100                                   # 64 * 1100 * 255 > 2**24
+    w = np.full((8, k), -64, dtype=np.int64)
+    x = np.full((k, 6), 255, dtype=np.int64)
+    plan = prepare_aqs(w, 3)                   # r = 0: |op| = 255
+    sliced = prepare_aqs(w, 3, AqsGemmConfig(exec_path="sliced"))
+    ref = w @ x
+    assert np.array_equal(execute_aqs(plan, x).acc, ref)
+    assert np.array_equal(execute_aqs(sliced, x).acc, ref)
+    xs = np.full((4200, 6), -64, dtype=np.int64)  # 64 * 4200 * 64 > 2**24
+    ws = np.full((8, 4200), -64, dtype=np.int64)
+    sib = prepare_sibia(ws)
+    assert np.array_equal(execute_sibia(sib, xs).acc, ws @ xs)
+    dtypes = (plan.gemm.dtype.name, sib.gemm.dtype.name)
+    assert dtypes == ("float64", "float64"), dtypes
+    return dtypes
+
+
 def measure_shape(name, m, k, n, repeats=5):
     """Sliced vs fast execute timings for one layer shape (exactness checked)."""
     w, x, zp = _aqs_operands(m, k, n)
@@ -119,6 +142,8 @@ def measure_shape(name, m, k, n, repeats=5):
 
     return {
         "m": m, "k": k, "n": n,
+        "aqs_gemm_dtype": fast_plan.gemm.dtype.name,
+        "sibia_gemm_dtype": sib_fast.gemm.dtype.name,
         "aqs_sliced_ms": sliced_s * 1e3,
         "aqs_fast_ms": fast_s * 1e3,
         "aqs_speedup": sliced_s / fast_s,
@@ -130,18 +155,20 @@ def measure_shape(name, m, k, n, repeats=5):
 
 def run(repeats=5):
     check_exactness()
+    check_certificate_fallback()
     results = {name: measure_shape(name, m, k, n, repeats)
                for name, m, k, n in SHAPES}
     bert = [results[name]["aqs_speedup"] for name in BERT_SHAPES]
     results["_summary"] = {
         "bert_median_aqs_speedup": float(np.median(bert)),
     }
-    rows = [[name, r["m"], r["k"], r["n"], r["aqs_sliced_ms"],
-             r["aqs_fast_ms"], r["aqs_speedup"], r["sibia_speedup"]]
+    rows = [[name, r["m"], r["k"], r["n"], r["aqs_gemm_dtype"],
+             r["aqs_sliced_ms"], r["aqs_fast_ms"], r["aqs_speedup"],
+             r["sibia_gemm_dtype"], r["sibia_speedup"]]
             for name, r in results.items() if not name.startswith("_")]
     emit("fast_path", format_table(
-        ["layer", "M", "K", "N", "aqs sliced (ms)", "aqs fast (ms)",
-         "aqs speedup", "sibia speedup"],
+        ["layer", "M", "K", "N", "aqs gemm", "aqs sliced (ms)",
+         "aqs fast (ms)", "aqs speedup", "sibia gemm", "sibia speedup"],
         rows,
         title="collapsed-BLAS fast path vs sliced plane-pair loop "
               f"(BERT median aqs speedup "
@@ -153,6 +180,7 @@ def run(repeats=5):
 def test_exec_paths_bit_exact():
     """The non-negotiable invariant, under pytest."""
     check_exactness()
+    check_certificate_fallback()
 
 
 def test_fast_path_speedup():
@@ -173,8 +201,11 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.smoke:
         check_exactness()
+        fallback = check_certificate_fallback()
         print("fast-path smoke: fast == sliced on the full "
               f"w_bits x lo_bits/tracked grid ({len(W_BITS) * len(LO_BITS)} "
-              f"AQS + {len(W_BITS) * 3} Sibia combinations)")
+              f"AQS + {len(W_BITS) * 3} Sibia combinations); a layer over "
+              f"the float32 bound ran in {fallback[0]} (AQS) and "
+              f"{fallback[1]} (Sibia)")
         sys.exit(0)
     run(repeats=args.repeats)

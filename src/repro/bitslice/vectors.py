@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+#: Unsigned words as wide as ``v`` bools, for the one-pass group reduction.
+_GROUP_VIEWS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def pad_to_multiple(x: np.ndarray, multiple: int, axis: int,
                     fill: int = 0) -> np.ndarray:
     """Pad ``x`` along ``axis`` up to the next multiple with ``fill``.
@@ -65,10 +69,20 @@ def activation_vector_mask(ho_plane: np.ndarray, v: int = 4,
     ``True`` where the vector has a slice different from ``compress_value``
     (``r`` for asymmetric quantization, 0 for symmetric).
     """
-    padded = pad_to_multiple(np.asarray(ho_plane), v, axis=1, fill=compress_value)
-    ng = padded.shape[1] // v
-    grouped = padded.reshape(padded.shape[0], ng, v)
-    return np.any(grouped != compress_value, axis=2)
+    differs = np.asarray(ho_plane) != compress_value
+    k, n = differs.shape
+    ng = -(-n // v)
+    if ng * v != n or not differs.flags.c_contiguous:
+        # Padding with "equal to compress_value" leaves every group's
+        # verdict unchanged.
+        padded = np.zeros((k, ng * v), dtype=bool)
+        padded[:, :n] = differs
+        differs = padded
+    group = _GROUP_VIEWS.get(v)
+    if group is not None:
+        # A row of v contiguous bools is one v-byte word: nonzero iff any.
+        return differs.view(group) != 0
+    return differs.reshape(k, ng, v).any(axis=2)
 
 
 def expand_weight_mask(mask: np.ndarray, v: int, m: int) -> np.ndarray:

@@ -49,6 +49,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .serve.server import SERVER_MAX_RECORDS
+
 __all__ = ["main", "build_parser"]
 
 EXPERIMENTS = {
@@ -136,9 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="requests coalesced into one engine batch")
     p_serve.add_argument("--max-delay-ms", type=float, default=2.0,
                          help="max time a queued request waits for riders")
-    p_serve.add_argument("--max-records", type=int, default=None,
+    p_serve.add_argument("--max-records", type=int,
+                         default=SERVER_MAX_RECORDS,
                          help="retain only the newest N request records "
-                              "(default: unbounded)")
+                              "(default: %(default)s)")
     p_serve.add_argument("--workers", type=int, default=0,
                          help="worker-pool threads (0 = inline serving); "
                               "requests go through submit_async")

@@ -24,18 +24,25 @@ one-shot :func:`aqs_gemm` is a thin, bit-exact wrapper over the two.
 
 ``exec_path`` selects how the online matmuls are issued.  The ``"sliced"``
 path mirrors the hardware: one BLAS call per (weight plane, activation
-plane) pair plus the compensation call.  The ``"fast"`` path (default)
-exploits that the SBR planes reconstruct ``W`` exactly and that
-``ho_weight == 2**ho_shift``, collapsing the whole loop into two BLAS calls
-on the precomputed ``w_f64`` mirror:
+plane) pair plus the compensation call, on float64 plane mirrors.  The
+``"fast"`` path (default) exploits that the SBR planes reconstruct ``W``
+exactly and that ``ho_weight == 2**ho_shift``, so the whole loop and the
+compensation collapse into **one** GEMM:
 
-``acc = 2^s * W (x_HO - r) J^U  +  W x_low  +  b'``
+``acc = W op + b'``,  ``op = 2^s (x_HO - r) J^U + x_low``
 
 where ``x_low`` is the radix-combined stack of lower activation planes.
-Every accumulator stays far below 2**53, so each float64 matmul is exact and
-the two paths are bit-identical; the op ledger is derived from the masks, not
-the matmuls, so it is unchanged.  ``"sliced"`` is retained as the
-verification reference.
+``x_HO - r`` is zero on every compressed (all-``r``) vector, so the mask
+drops out of the numerics and ``op`` is the (DBS-truncated) code minus
+``r << s``; the mask lives on in the op ledger, which is derived from it
+and not from the matmul, and so is unchanged.  ``|op| <= 2^x_bits - 1``,
+so ``max_row(sum|W|) * (2^x_bits - 1)`` bounds every partial sum; the plan
+checks that certificate once (:class:`~repro.gemm.exact.ExactWeight`) and
+runs the GEMM in float32 when the bound is below 2**24, else in float64
+(exact below 2**53).  The activation side reaches ``op`` in a few narrow
+passes (uint8/uint16 codes, no slice stack, no int64 ``(K, N)``
+temporaries).  ``"sliced"`` is retained as the bit-exact verification
+reference.
 """
 
 from __future__ import annotations
@@ -52,17 +59,12 @@ from ..bitslice.vectors import (
     vector_sparsity,
     weight_vector_mask,
 )
+from ..gemm.exact import ExactWeight, exact_matmul
 from ..gemm.workload import OpCounts, validate_exec_path
 
 __all__ = ["AqsGemmConfig", "AqsGemmResult", "AqsLayerPlan", "aqs_gemm",
            "prepare_aqs", "execute_aqs", "compensation_bias",
            "frequent_ho_slice"]
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float64 BLAS matmul, exact for the bounded integer magnitudes here."""
-    return np.rint(np.asarray(a, dtype=np.float64)
-                   @ np.asarray(b, dtype=np.float64)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class AqsGemmConfig:
     activation width (``4k + 4``); ``lo_bits`` is the DBS split ``l`` (4 =
     basic scheme, 5/6 = DBS type-2/3).  ``v`` is the slice-vector length and
     ``index_bits`` the RLE index width.  ``exec_path`` picks the online BLAS
-    strategy: ``"fast"`` (two collapsed calls, the default) or ``"sliced"``
+    strategy: ``"fast"`` (one certified GEMM, the default) or ``"sliced"``
     (one call per plane pair, the bit-exact verification reference).
     """
 
@@ -106,6 +108,11 @@ class AqsGemmConfig:
         slicing (these coincide at ``l = 4, x_bits = 8``).
         """
         return self.lo_bits if self.lo_bits > 4 else self.x_bits - 4
+
+    @property
+    def x_slices(self) -> int:
+        """Number of activation slice planes (DBS always has two)."""
+        return 2 if self.lo_bits > 4 else self.x_bits // 4
 
 
 @dataclass
@@ -160,9 +167,12 @@ class AqsLayerPlan:
 
     Holds the SBR slice stack, the weight compressibility mask and its RLE
     index budget, the compressible activation slice ``r`` and the Eq. 6
-    compensation rows ``b'/n = (r << ho_shift) * rowsum(W)``.  Float64 mirror
-    copies of the weight operands are kept so the per-request BLAS calls skip
-    the int64->float64 casts.
+    compensation rows ``b'/n = (r << ho_shift) * rowsum(W)``.  A fast-path
+    plan also holds ``gemm``, the weight in the narrowest dtype that the
+    certificate ``max_row(sum|W|) * max|op|`` proves exact (float32 below
+    2**24, else float64); it is derived from ``w_q`` on build and on load,
+    never stored.  The float64 mirrors the sliced reference reads are built
+    lazily, so fast-path plans never hold one.
     """
 
     config: AqsGemmConfig
@@ -176,22 +186,30 @@ class AqsLayerPlan:
     w_rle_bits: int
     engine: str = "aqs"
     b_row: np.ndarray = field(init=False, repr=False)
-    w_f64: np.ndarray = field(init=False, repr=False)
+    gemm: ExactWeight | None = field(init=False, repr=False, default=None)
+    _w_f64: np.ndarray | None = field(init=False, repr=False, default=None)
     _w_planes_f64: tuple[np.ndarray, ...] | None = field(
         init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         rowsum = self.w_q.sum(axis=1)
         self.b_row = (self.r << self.ho_shift) * rowsum
-        self.w_f64 = self.w_q.astype(np.float64)
+        if self.config.exec_path == "fast":
+            # op = x_trunc - (r << s) with x_trunc in [0, 2^x_bits - 1].
+            op_max = max((1 << self.config.x_bits) - 1,
+                         self.r << self.ho_shift)
+            self.gemm = ExactWeight(self.w_q, op_max)
+
+    @property
+    def w_f64(self) -> np.ndarray:
+        """Float64 weight mirror, built lazily (sliced path only)."""
+        if self._w_f64 is None:
+            self._w_f64 = self.w_q.astype(np.float64)
+        return self._w_f64
 
     @property
     def w_planes_f64(self) -> tuple[np.ndarray, ...]:
-        """Per-plane float64 mirrors, built lazily.
-
-        Only the sliced path reads these; fast-path plans (the default)
-        never pay the ``n_slices`` extra full-size weight copies.
-        """
+        """Per-plane float64 mirrors, built lazily (sliced path only)."""
         if self._w_planes_f64 is None:
             self._w_planes_f64 = tuple(p.astype(np.float64)
                                        for p in self.w_stack.planes)
@@ -271,8 +289,8 @@ def execute_aqs(plan: AqsLayerPlan, x_q: np.ndarray) -> AqsGemmResult:
 
     Bit-exact against the one-shot :func:`aqs_gemm` on either ``exec_path``:
     the sliced path reproduces the accumulation order of the hardware loop,
-    and the fast path computes the same exact integer sum with two collapsed
-    BLAS calls (see the module docstring).  The op ledger is mask-derived and
+    and the fast path computes the same exact integer sum with one certified
+    GEMM (see the module docstring).  The op ledger is mask-derived and
     identical on both paths.
     """
     config = plan.config
@@ -283,41 +301,38 @@ def execute_aqs(plan: AqsLayerPlan, x_q: np.ndarray) -> AqsGemmResult:
             f"shape mismatch: W is {plan.w_q.shape}, x is {x_q.shape}")
     n = x_q.shape[1]
 
-    v = config.v
-    x_stack = _slice_activation(x_q, config)
-    r, ho_shift = plan.r, plan.ho_shift
-
-    ux = activation_vector_mask(x_stack.ho, v=v, compress_value=r)
-    ux_e = expand_activation_mask(ux, v, n).astype(np.int64)
-
     if config.exec_path == "fast":
-        acc = _execute_fast(plan, x_stack, ux_e, m, n)
+        acc, ux = _execute_fast(plan, x_q)
     else:
-        acc = _execute_sliced(plan, x_stack, ux_e, m, n)
+        x_stack = _slice_activation(x_q, config)
+        ux = activation_vector_mask(x_stack.ho, v=config.v,
+                                    compress_value=plan.r)
+        acc = _execute_sliced(plan, x_stack, ux, m, n)
 
     ops = OpCounts()
     if config.count_ops:
-        _count_aqs_ops(ops, plan.w_stack, x_stack, plan.uw, ux, config,
-                       m, k, n, plan.w_rle_bits)
+        _count_aqs_ops(ops, plan.w_stack, config.x_slices, plan.uw, ux,
+                       config, m, k, n, plan.w_rle_bits)
     return AqsGemmResult(
         acc=acc,
         ops=ops,
         rho_w=plan.rho_w,
         rho_x=vector_sparsity(ux),
-        r=r,
+        r=plan.r,
         uw_mask=plan.uw,
         ux_mask=ux,
     )
 
 
 def _execute_sliced(plan: AqsLayerPlan, x_stack: SliceStack,
-                    ux_e: np.ndarray, m: int, n: int) -> np.ndarray:
+                    ux: np.ndarray, m: int, n: int) -> np.ndarray:
     """Reference path: one BLAS call per (weight, activation) plane pair.
 
     This mirrors the hardware's slice-product loop and is kept as the
     verification reference for the fast path.
     """
     r, ho_shift = plan.r, plan.ho_shift
+    ux_e = expand_activation_mask(ux, plan.config.v, n).astype(np.int64)
     # --- bit-slice GEMMs over uncompressed slices (Eq. 5, first term) -----
     # Compressed weight HO vectors are all-zero, so using the raw HO plane is
     # already the skipped computation; the activation HO plane is masked to
@@ -328,42 +343,46 @@ def _execute_sliced(plan: AqsLayerPlan, x_stack: SliceStack,
     acc = np.zeros((m, n), dtype=np.int64)
     for wi, w_plane in enumerate(plan.w_planes_f64):
         w_scale = plan.w_stack.weights[wi]
-        acc += (w_scale * x_stack.ho_weight) * _exact_matmul(w_plane, x_ho_u)
+        acc += (w_scale * x_stack.ho_weight) * exact_matmul(w_plane, x_ho_u)
         for xi in range(x_stack.n_slices - 1):
-            acc += (w_scale * x_stack.weights[xi]) * _exact_matmul(
+            acc += (w_scale * x_stack.weights[xi]) * exact_matmul(
                 w_plane, x_lo_f[xi])
 
     # --- compensation (Eq. 6): reuse loaded weight slices -----------------
     # -r*(W_HO+W_LO) J^U + b'   with   b' = (W_HO+W_LO)(r * 1)
     acc += (np.broadcast_to(plan.b_row[:, None], (m, n))
-            - (r << ho_shift) * _exact_matmul(plan.w_f64, ux_e))
+            - (r << ho_shift) * exact_matmul(plan.w_f64, ux_e))
     return acc
 
 
-def _execute_fast(plan: AqsLayerPlan, x_stack: SliceStack,
-                  ux_e: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Collapsed path: the whole plane-pair loop in two BLAS calls.
+def _execute_fast(plan: AqsLayerPlan,
+                  x_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed path: the plane-pair loop and compensation in one GEMM.
 
-    The SBR planes reconstruct ``W`` exactly, so summing the per-plane
-    products equals multiplying by ``W`` itself; and because
-    ``ho_weight == 2**ho_shift``, the masked HO product and the Eq. 6
-    compensation matmul share the operand ``(x_HO - r) * J^U``:
-
-    ``acc = 2^s * W ((x_HO - r) J^U) + W x_low + b'``
-
-    Both matmuls stay below 2**53 in magnitude, so the float64 BLAS results
-    are exact integers and the sum is bit-identical to the sliced loop.
+    Returns ``(acc, ux)``.  The SBR planes reconstruct ``W`` exactly and
+    ``ho_weight == 2**s``, so the sliced loop's sum is ``W op + b'`` with
+    ``op = 2^s (x_HO - r) J^U + x_low``.  ``x_HO - r`` vanishes on every
+    compressed vector, so ``op`` is the DBS-truncated code minus ``r << s``.
+    The codes are validated once and narrowed to uint8 (uint16 past 8
+    bits); the HO plane and vector mask are taken from them, and ``op`` is
+    written straight in the certified GEMM dtype.
     """
-    x_ho_u = ((x_stack.ho - plan.r) * ux_e).astype(np.float64)
-    acc = x_stack.ho_weight * _exact_matmul(plan.w_f64, x_ho_u)
-    if x_stack.n_slices > 1:
-        x_low = x_stack.planes[0].astype(np.float64) * x_stack.weights[0]
-        for xi in range(1, x_stack.n_slices - 1):
-            x_low += (x_stack.planes[xi].astype(np.float64)
-                      * x_stack.weights[xi])
-        acc += _exact_matmul(plan.w_f64, x_low)
-    acc += np.broadcast_to(plan.b_row[:, None], (m, n))
-    return acc
+    config = plan.config
+    s = plan.ho_shift
+    # Negative codes wrap to huge unsigned values: one pass checks both ends.
+    if x_q.size and int(x_q.view(np.uint64).max()) >> config.x_bits:
+        raise ValueError(
+            f"values out of range for {config.x_bits}-bit unsigned")
+    codes = x_q.astype(np.min_scalar_type((1 << config.x_bits) - 1))
+    ux = activation_vector_mask(codes >> s, v=config.v, compress_value=plan.r)
+    if config.lo_bits > 4:
+        # DBS keeps only the top 4 of the l low bits (slice_dbs).
+        drop = config.lo_bits - 4
+        codes &= ((1 << config.x_bits) - 1) & ~((1 << drop) - 1)
+    op = np.subtract(codes, plan.r << s, dtype=plan.gemm.dtype)
+    acc = plan.gemm.matmul(op)
+    acc += plan.b_row[:, None]
+    return acc, ux
 
 
 def aqs_gemm(
@@ -390,7 +409,7 @@ def aqs_gemm(
 def _count_aqs_ops(
     ops: OpCounts,
     w_stack: SliceStack,
-    x_stack: SliceStack,
+    nx: int,
     uw: np.ndarray,
     ux: np.ndarray,
     config: AqsGemmConfig,
@@ -405,13 +424,13 @@ def _count_aqs_ops(
     ``v*v`` multiplies plus ``v*v`` accumulator additions.  The Eq. 6
     compensation adds one ``v x v`` outer product per output tile and
     ``v * n_w_planes`` weight-slice accumulations per uncompressed
-    activation vector.  ``w_rle_bits`` is the weight-side RLE index budget,
+    activation vector.  ``nx`` is the number of activation slice planes;
+    ``w_rle_bits`` is the weight-side RLE index budget,
     already sized offline by :func:`prepare_aqs`.
     """
     v = config.v
     mg, ng = uw.shape[0], ux.shape[1]
     nw = w_stack.n_slices
-    nx = x_stack.n_slices
     unit = v * v
     sum_uw = int(uw.sum())
     sum_ux = int(ux.sum())

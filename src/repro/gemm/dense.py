@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..quant.uniform import QuantParams
+from .exact import ExactWeight
 from .workload import OpCounts
 
 __all__ = ["DenseGemmResult", "Int8DensePlan", "integer_gemm",
@@ -58,8 +59,9 @@ class Int8DensePlan:
     """Prepared state of the dense integer baseline.
 
     The dense GEMM has almost no offline work — the plan caches the int64
-    view and a float64 mirror of the weight so per-request BLAS calls skip
-    the cast, plus the widths the op accounting needs.
+    weight, ``gemm`` (the weight in the narrowest dtype certified exact for
+    codes of magnitude below ``2^x_bits``, rebuilt on load) and the widths
+    the op accounting needs.
     """
 
     w_q: np.ndarray
@@ -67,10 +69,15 @@ class Int8DensePlan:
     x_bits: int = 8
     count_ops: bool = True
     engine: str = "int8_dense"
-    w_f64: np.ndarray = field(init=False, repr=False)
+    gemm: ExactWeight = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.w_f64 = self.w_q.astype(np.float64)
+        self.gemm = ExactWeight(self.w_q, self.x_max)
+
+    @property
+    def x_max(self) -> int:
+        """Largest code magnitude the certified GEMM admits."""
+        return (1 << self.x_bits) - 1
 
     @property
     def m(self) -> int:
@@ -107,7 +114,9 @@ def execute_int8_dense(plan: Int8DensePlan,
     """Dense integer GEMM against a prepared plan; returns ``(acc, ops)``.
 
     Op accounting follows the dense-baseline convention: an 8b x 8b MAC is
-    four 4b x 4b multiplications, and EMA ships both operands dense.
+    four 4b x 4b multiplications, and EMA ships both operands dense.  Codes
+    outside ``x_bits`` void the GEMM certificate and take NumPy's integer
+    matmul instead.
     """
     x_q = np.asarray(x_q, dtype=np.int64)
     m, k = plan.w_q.shape
@@ -115,7 +124,10 @@ def execute_int8_dense(plan: Int8DensePlan,
         raise ValueError(
             f"shape mismatch: W is {plan.w_q.shape}, x is {x_q.shape}")
     n = x_q.shape[1]
-    acc = np.rint(plan.w_f64 @ x_q.astype(np.float64)).astype(np.int64)
+    if x_q.size and max(-int(x_q.min()), int(x_q.max())) > plan.x_max:
+        acc = plan.w_q @ x_q
+    else:
+        acc = plan.gemm.matmul(x_q)
     ops = OpCounts()
     if plan.count_ops:
         ops.mul4 = 4 * m * k * n

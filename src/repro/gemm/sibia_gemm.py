@@ -17,11 +17,13 @@ static weight path once into a :class:`SibiaLayerPlan` and
 
 ``exec_path`` selects the online BLAS strategy.  ``"sliced"`` issues one
 call per (weight plane, activation plane) pair, mirroring the hardware loop.
-``"fast"`` (default) issues a single ``W @ x`` call on the precomputed
-``w_f64`` mirror: the SBR planes reconstruct both operands exactly and the
-tracked-side mask only zeroes vectors that are already all-zero, so the
-collapsed product is bit-identical to the accumulated slice products.  The
-op ledger is mask-derived and unchanged.
+``"fast"`` (default) issues a single certified ``W @ x`` GEMM: the SBR
+planes reconstruct both operands exactly and the tracked-side mask only
+zeroes vectors that are already all-zero, so the collapsed product is
+bit-identical to the accumulated slice products.  The plan runs it in
+float32 when ``max_row(sum|W|) * 2^(x_bits-1)`` is below 2**24, else in
+float64 (see :mod:`repro.gemm.exact`).  The op ledger is mask-derived and
+unchanged.
 """
 
 from __future__ import annotations
@@ -38,20 +40,11 @@ from ..bitslice.vectors import (
     vector_sparsity,
     weight_vector_mask,
 )
+from .exact import ExactWeight, exact_matmul
 from .workload import OpCounts, validate_exec_path
 
 __all__ = ["SibiaGemmResult", "SibiaLayerPlan", "sibia_gemm", "prepare_sibia",
            "execute_sibia"]
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """BLAS matmul that is exact for the integer magnitudes involved.
-
-    All accumulators in 8-bit-ish GEMMs stay far below 2**53, so float64
-    arithmetic is exact and vastly faster than NumPy's integer matmul.
-    """
-    return np.rint(np.asarray(a, dtype=np.float64)
-                   @ np.asarray(b, dtype=np.float64)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,8 @@ class SibiaLayerPlan:
     request because it compares against the activation sparsity.  When the
     weight has a single slice there is no HO plane to skip and the mask is
     forced dense (``single_w_slice``).  ``exec_path`` picks the online BLAS
-    strategy (``"fast"`` or ``"sliced"``).
+    strategy (``"fast"`` or ``"sliced"``); a fast-path plan holds ``gemm``,
+    the weight in its certified exact dtype, rebuilt from ``w_q`` on load.
     """
 
     w_q: np.ndarray
@@ -90,16 +84,14 @@ class SibiaLayerPlan:
     single_w_slice: bool
     engine: str = "sibia"
     exec_path: str = "fast"
+    gemm: ExactWeight | None = field(init=False, repr=False, default=None)
     _w_planes_f64: tuple[np.ndarray, ...] | None = field(
         init=False, repr=False, default=None)
-    _w_f64: np.ndarray | None = field(init=False, repr=False, default=None)
 
-    @property
-    def w_f64(self) -> np.ndarray:
-        """Float64 weight mirror, built lazily (fast path only)."""
-        if self._w_f64 is None:
-            self._w_f64 = self.w_q.astype(np.float64)
-        return self._w_f64
+    def __post_init__(self) -> None:
+        if self.exec_path == "fast":
+            # SBR activations lie in [-2^(x_bits-1), 2^(x_bits-1) - 1].
+            self.gemm = ExactWeight(self.w_q, 1 << (self.x_bits - 1))
 
     @property
     def w_planes_f64(self) -> tuple[np.ndarray, ...]:
@@ -206,9 +198,9 @@ def execute_sibia(plan: SibiaLayerPlan, x_q: np.ndarray) -> SibiaGemmResult:
     if plan.exec_path == "fast":
         # The SBR planes reconstruct both operands exactly and the tracked
         # mask only zeroes all-zero vectors, so the accumulated slice
-        # products collapse to the plain product — one BLAS call, exact in
-        # float64 for these magnitudes, hence bit-identical to the loop.
-        acc = _exact_matmul(plan.w_f64, x_q)
+        # products collapse to the plain product — one certified GEMM
+        # (slice_sbr above has range-checked x), bit-identical to the loop.
+        acc = plan.gemm.matmul(x_q)
     else:
         acc = np.zeros((m, n), dtype=np.int64)
         uw_e = expand_weight_mask(uw, v, m)
@@ -219,7 +211,7 @@ def execute_sibia(plan: SibiaLayerPlan, x_q: np.ndarray) -> SibiaGemmResult:
             for xi, x_plane in enumerate(x_planes_f64):
                 x_eff = x_plane * ux_e if (tracked == "activation" and xi == x_stack.n_slices - 1) else x_plane
                 scale = w_stack.weights[wi] * x_stack.weights[xi]
-                acc += scale * _exact_matmul(w_eff, x_eff)
+                acc += scale * exact_matmul(w_eff, x_eff)
 
     ops = OpCounts()
     if plan.count_ops:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..nn import functional as F
+
 __all__ = [
     "ActivationSpec",
     "sample_activation",
@@ -80,7 +82,7 @@ def sample_activation(spec: ActivationSpec, k: int, n: int,
     elif spec.family == "gelu":
         pre = widen(rng.standard_t(4, size=(k, n))) + 0.4 * rng.normal(
             size=(k, 1))
-        x = _gelu(pre)
+        x = F.gelu(pre)
     elif spec.family == "swiglu":
         gate = widen(rng.standard_t(4, size=(k, n)))
         up = widen(rng.standard_t(4, size=(k, n)))
@@ -130,11 +132,6 @@ def _bulk_widen(x: np.ndarray, spread: float) -> np.ndarray:
     if spread <= 1.0:
         return x
     return np.sign(x) * np.abs(x) ** (1.0 / spread)
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    c = float(np.sqrt(2.0 / np.pi))
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
 
 
 def _silu(x: np.ndarray) -> np.ndarray:

@@ -48,7 +48,13 @@ from .batching import (BatchPolicy, DecodeBatcher, DecodePolicy, DecodeTicket,
 from .metrics import LatencyStats, ServerMetrics
 from .pool import BackendCapabilityError, WorkerPool
 
-__all__ = ["ModelServer", "ModelEntry"]
+__all__ = ["ModelServer", "ModelEntry", "SERVER_MAX_RECORDS"]
+
+#: Request records a server-created session retains (``max_records``).
+#: A record with its layer trace holds ~23 KB on the bert_base proxy, so an
+#: unbounded ledger grows resident memory with every request served;
+#: ``stats()`` totals are lifetime counters and do not depend on it.
+SERVER_MAX_RECORDS = 256
 
 
 @dataclass
@@ -392,8 +398,8 @@ class ModelServer:
                      seed: int = 0, n_calibration: int = 2,
                      calibration_batch: int = 2,
                      policy: BatchPolicy | None = None,
-                     max_records: int | None = None, shards: int = 0,
-                     depth: int = 2,
+                     max_records: int | None = SERVER_MAX_RECORDS,
+                     shards: int = 0, depth: int = 2,
                      stage_workers: int | None = None,
                      decode_policy: DecodePolicy | None = None) -> ModelEntry:
         """Build, calibrate and host one proxy-zoo model variant.
@@ -406,6 +412,8 @@ class ModelServer:
         stages on a measured profile of one synthetic batch.
         ``decode_policy`` configures the deployment's continuous-batching
         decoder (LM proxies only; created lazily on first decode submit).
+        The session keeps its newest ``max_records`` request records
+        (``None`` keeps all of them).
         """
         from ..core.pipeline import PtqConfig
         from ..models.zoo import PROXY_SPECS, build_proxy, proxy_batches
@@ -446,7 +454,8 @@ class ModelServer:
 
     def load(self, name: str, path, *, model=None, model_factory=None,
              policy: BatchPolicy | None = None,
-             max_records: int | None = None, shards: int | str = 0,
+             max_records: int | None = SERVER_MAX_RECORDS,
+             shards: int | str = 0,
              depth: int = 2, stage_workers: int | None = None) -> ModelEntry:
         """Host a deployment rehydrated from a plan store (zero re-prepare).
 
@@ -454,7 +463,8 @@ class ModelServer:
         ``pad_axis`` is applied exactly as :meth:`deploy_proxy` would.
         ``shards="stored"`` deploys with the shard plan persisted in the
         store (raising if there is none); ``shards=N >= 2`` re-partitions
-        with modeled costs instead.
+        with modeled costs instead.  ``max_records`` bounds the rehydrated
+        session's record retention as in :meth:`deploy_proxy`.
 
         On ``backend='process'`` the workers rehydrate straight from
         ``path`` (no re-snapshot); a store saved without a proxy-zoo

@@ -8,7 +8,9 @@ randomness instead of hand-picked shapes:
   grid (AQS) and ``w_bits`` × ``tracked`` grid (Sibia): the fast path must
   equal the sliced reference, a fused execute must equal per-block
   executes (the coalescing identity), and threads sharing one plan must
-  reproduce serial outputs bit for bit;
+  reproduce serial outputs bit for bit; max-magnitude operands with K
+  around the float32 certificate bound must take the dtype the bound
+  picks and still equal the int64 product;
 * **session level** — random tiny models for all four registered engines ×
   per-tensor/per-channel weights: solo ``run``, the sliced exec path,
   ``run_coalesced`` and a concurrent worker-pool server must all emit
@@ -30,6 +32,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.bitslice.slicing import dbs_reconstruct_codes
 from repro.core.aqs_gemm import AqsGemmConfig, execute_aqs, prepare_aqs
 from repro.core.pipeline import PtqConfig
 from repro.engine import (
@@ -38,6 +41,7 @@ from repro.engine import (
     available_engines,
     get_engine,
 )
+from repro.gemm.dense import execute_int8_dense, prepare_int8_dense
 from repro.gemm.sibia_gemm import execute_sibia, prepare_sibia
 from repro.nn.layers import Linear
 from repro.nn.module import Module
@@ -134,6 +138,64 @@ class TestKernelFuzzSibia:
                 fast, sliced,
                 f"sibia w_bits={w_bits} tracked={tracked} case={case} "
                 f"shape=({m},{k},{n}) seed={BASE_SEED}")
+
+
+class TestKernelFuzzCertificate:
+    """Extreme codes and weights, K drawn around the float32 bound."""
+
+    F32_LIMIT = 1 << 24
+
+    def _case(self, rng, w_abs, x_lo, x_hi):
+        """Max-magnitude random-sign operands; returns them and the
+        dtype the certificate must pick."""
+        k_edge = (self.F32_LIMIT - 1) // (w_abs * max(abs(x_lo), x_hi))
+        k = k_edge + int(rng.integers(-2, 3))
+        m, n = (int(rng.integers(2, 9)) for _ in range(2))
+        w = rng.choice([-w_abs, w_abs - 1], (m, k))
+        w[int(rng.integers(m))] = -w_abs
+        x = rng.choice([x_lo, x_hi], (k, n))
+        bound = int(np.abs(w).sum(axis=1).max()) * max(abs(x_lo), x_hi)
+        return w, x, np.float32 if bound < self.F32_LIMIT else np.float64
+
+    @pytest.mark.parametrize("x_bits,lo_bits", [(8, 4), (8, 5), (8, 6),
+                                                (12, 4)])
+    def test_aqs(self, x_bits, lo_bits):
+        rng = _rng(11, x_bits, lo_bits)
+        for case in range(3):
+            w, x, dtype = self._case(rng, 64, 0, (1 << x_bits) - 1)
+            zp = int(rng.integers(0, 1 << lo_bits))
+            cfg = dict(x_bits=x_bits, lo_bits=lo_bits)
+            plan = prepare_aqs(w, zp, AqsGemmConfig(**cfg))
+            fast = execute_aqs(plan, x)
+            sliced = execute_aqs(prepare_aqs(w, zp, AqsGemmConfig(
+                exec_path="sliced", **cfg)), x)
+            codes = x if lo_bits == 4 else dbs_reconstruct_codes(x, lo_bits)
+            label = (f"aqs x_bits={x_bits} lo_bits={lo_bits} case={case} "
+                     f"k={w.shape[1]} seed={BASE_SEED}")
+            assert plan.gemm.dtype == dtype, label
+            _assert_results_equal(fast, sliced, label)
+            assert np.array_equal(fast.acc, w @ codes), label
+
+    def test_sibia(self):
+        rng = _rng(12)
+        for case in range(3):
+            w, x, dtype = self._case(rng, 64, -64, 63)
+            plan = prepare_sibia(w)
+            fast = execute_sibia(plan, x)
+            sliced = execute_sibia(prepare_sibia(w, exec_path="sliced"), x)
+            label = f"sibia case={case} k={w.shape[1]} seed={BASE_SEED}"
+            assert plan.gemm.dtype == dtype, label
+            _assert_results_equal(fast, sliced, label)
+            assert np.array_equal(fast.acc, w @ x), label
+
+    def test_int8_dense(self):
+        rng = _rng(13)
+        for case in range(3):
+            w, x, dtype = self._case(rng, 128, 0, 255)
+            plan = prepare_int8_dense(w)
+            label = f"int8_dense case={case} k={w.shape[1]} seed={BASE_SEED}"
+            assert plan.gemm.dtype == dtype, label
+            assert np.array_equal(execute_int8_dense(plan, x)[0], w @ x), label
 
 
 class TestKernelConcurrentSharedPlan:

@@ -175,6 +175,41 @@ class TestDeployAndLoad:
         server.flush()
         assert np.array_equal(ticket.result(), session.run(batch))
 
+    def test_server_created_sessions_bound_their_ledger(self, tmp_path):
+        """deploy_proxy, load and ``repro serve`` default to a bounded
+        ledger; a bounded session keeps at most its cap after serving
+        twice that many requests, with the lifetime stats of an unbounded
+        twin."""
+        from repro.cli import build_parser
+        from repro.serve.server import SERVER_MAX_RECORDS
+
+        assert build_parser().parse_args(
+            ["serve", "bert_base"]).max_records == SERVER_MAX_RECORDS
+        server = ModelServer(BatchPolicy(max_batch=1, max_delay_s=0.0))
+        entry = server.deploy_proxy("bert", "bert_base", seed=0)
+        assert entry.session.max_records == SERVER_MAX_RECORDS
+        path = tmp_path / "tiny.npz"
+        PlanStore(path).save(_session(seed=7))
+        entry = server.load("tiny", path, model=TinyNet(seed=7))
+        assert entry.session.max_records == SERVER_MAX_RECORDS
+
+        cap = 4
+        capped = server.load("capped", path, model=TinyNet(seed=7),
+                             max_records=cap).session
+        twin = server.load("twin", path, model=TinyNet(seed=7),
+                           max_records=None).session
+        for x in _batches(2 * cap, seed=15):
+            server.submit("capped", x)
+            server.submit("twin", x)
+        server.flush()
+        assert len(capped.requests) == cap
+        assert len(twin.requests) == 2 * cap
+        lifetime = [key for key in twin.stats()
+                    if key not in ("n_retained", "exec_s")]
+        assert {key: capped.stats()[key] for key in lifetime} \
+            == {key: twin.stats()[key] for key in lifetime}
+        assert capped.stats()["n_requests"] == 2 * cap
+
 
 class TestServerObservability:
     def test_stats_shape(self):
